@@ -8,6 +8,8 @@ type program struct {
 	ends   []*stmtBlock
 	rules  []rule
 	funcs  map[string]*funcDef
+	// globals maps each global variable's name to its slot (see resolve).
+	globals map[string]int
 }
 
 // rule is one pattern-action item.
@@ -58,9 +60,9 @@ type forStmt struct {
 }
 
 type forInStmt struct {
-	varName string
-	arrName string
-	body    stmt
+	v    *varRef
+	arr  *varRef
+	body stmt
 }
 
 type breakStmt struct{}
@@ -69,8 +71,8 @@ type nextStmt struct{}
 type exitStmt struct{ code expr }
 type returnStmt struct{ val expr }
 type deleteStmt struct {
-	arrName string
-	index   []expr // nil = delete whole array
+	arr   *varRef
+	index []expr // nil = delete whole array
 }
 
 func (*stmtBlock) isStmt()    {}
@@ -96,13 +98,19 @@ type numLit struct{ v float64 }
 type strLit struct{ v string }
 type regexLit struct{ re *compiledRegex }
 
-type varRef struct{ name string }
+// varRef names a scalar or array variable. The resolve pass binds it to a
+// slot: a function parameter's position when local, else a global slot.
+type varRef struct {
+	name  string
+	local bool
+	slot  int
+}
 
 type fieldRef struct{ idx expr }
 
 type indexRef struct {
-	arrName string
-	index   []expr
+	arr   *varRef
+	index []expr
 }
 
 type assign struct {
@@ -138,13 +146,14 @@ type matchExpr struct {
 }
 
 type inExpr struct {
-	index   []expr
-	arrName string
+	index []expr
+	arr   *varRef
 }
 
 type call struct {
 	name string
 	args []expr
+	fn   *funcDef // set by resolve; nil for an undefined function
 }
 
 type builtinCall struct {

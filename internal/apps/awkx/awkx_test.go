@@ -449,3 +449,22 @@ func runAwkFS(t *testing.T, files map[string]string, prog, want string) {
 		t.Fatalf("got %q, want %q", out.String(), want)
 	}
 }
+
+// An lvalue's subscript or field number is evaluated once, even when the
+// target is read and written back (++, op=, sub); mawk, gawk and POSIX
+// agree on these outputs.
+func TestLvalueEvaluatedOnce(t *testing.T) {
+	const input = "10 9 0x10\n"
+	expectAwk(t, `{ i = 1; c[i++]++; print i }`, input, "2\n")
+	expectAwk(t, `{ i = 1; c[i++] += 5; for (k in c) print k, c[k] }`, input, "1 5\n")
+	expectAwk(t, `{ i = 1; $(i++)++; print i, $0 }`, input, "2 11 9 0x10\n")
+	expectAwk(t, `{ i = 1; a[1] = "x"; a[2] = "y"; sub(/./, "z", a[i++]); print i, a[1], a[2] }`, input, "2 z y\n")
+}
+
+// A numeric constant too large for a float64 converts to infinity, which
+// prints as inf, as in mawk, rather than to its longest finite prefix. It
+// still does not look numeric, so comparisons treat it as a string.
+func TestOverflowingConstant(t *testing.T) {
+	expectAwk(t, `BEGIN { print "1e400" + 0, -"1e400", "-1e400" + 0, "2e308x" * 1 }`, "", "inf -inf -inf inf\n")
+	expectAwk(t, `{ print $1 + 0, ($1 < 2) }`, "1e400\n", "inf 1\n")
+}

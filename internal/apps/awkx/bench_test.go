@@ -6,11 +6,13 @@ import (
 	"testing"
 
 	"compstor/internal/apps"
+	"compstor/internal/textgen"
 )
 
 func benchRun(b *testing.B, prog, input string) {
 	b.Helper()
 	b.SetBytes(int64(len(input)))
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var out bytes.Buffer
 		ctx := &apps.Context{
@@ -42,4 +44,22 @@ func BenchmarkRegexMatch(b *testing.B) {
 func BenchmarkArithmetic(b *testing.B) {
 	input := strings.Repeat("1.5 2.5 3.5\n", 2000)
 	benchRun(b, `{ s += $1 * $2 + $3 / 2 } END { printf "%.1f\n", s }`, input)
+}
+
+// The book benchmarks run on 32 KiB of textgen prose, the input the
+// workloads give gawk. Prose has a far larger vocabulary than the repeated
+// lines above, so array keys and field scans cost what they do in the
+// simulator.
+var benchBook = string(textgen.Book(1, 32<<10)[:32<<10])
+
+func BenchmarkFieldSplitBook(b *testing.B) {
+	benchRun(b, `{ n += NF } END { print n }`, benchBook)
+}
+
+func BenchmarkWordFrequencyBook(b *testing.B) {
+	benchRun(b, perfbenchGawkProg, benchBook)
+}
+
+func BenchmarkRegexMatchBook(b *testing.B) {
+	benchRun(b, `/ the [a-z]+ of / { n++ } END { print n }`, benchBook)
 }

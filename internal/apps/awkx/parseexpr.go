@@ -108,7 +108,7 @@ func (p *parser) parseIn() (expr, error) {
 		if arr.kind != tIdent {
 			return nil, p.errf("expected array name after in")
 		}
-		left = &inExpr{index: []expr{left}, arrName: arr.text}
+		left = &inExpr{index: []expr{left}, arr: &varRef{name: arr.text}}
 	}
 	return left, nil
 }
@@ -327,7 +327,7 @@ func (p *parser) parsePrimary() (expr, error) {
 		p.pos++
 		if p.isOp("[") {
 			p.pos++
-			ir := &indexRef{arrName: t.text}
+			ir := &indexRef{arr: &varRef{name: t.text}}
 			for {
 				e, err := p.parseExpr()
 				if err != nil {

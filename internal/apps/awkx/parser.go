@@ -32,7 +32,12 @@ func parse(src string) (*program, error) {
 		return nil, err
 	}
 	p := &parser{toks: toks}
-	return p.parseProgram()
+	prog, err := p.parseProgram()
+	if err != nil {
+		return nil, err
+	}
+	resolve(prog)
+	return prog, nil
 }
 
 func (p *parser) errf(format string, args ...any) error {
@@ -244,7 +249,7 @@ func (p *parser) parseStmt() (stmt, error) {
 			if name.kind != tIdent && name.kind != tFuncName {
 				return nil, p.errf("expected array name after delete")
 			}
-			ds := &deleteStmt{arrName: name.text}
+			ds := &deleteStmt{arr: &varRef{name: name.text}}
 			if p.isOp("[") {
 				p.pos++
 				for {
@@ -414,7 +419,7 @@ func (p *parser) parseFor() (stmt, error) {
 	}
 	// for (k in arr)
 	if p.peek().kind == tIdent && p.toks[p.pos+1].kind == tKeyword && p.toks[p.pos+1].text == "in" {
-		varName := p.next().text
+		v := &varRef{name: p.next().text}
 		p.pos++ // in
 		arr := p.next()
 		if arr.kind != tIdent {
@@ -427,7 +432,7 @@ func (p *parser) parseFor() (stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &forInStmt{varName: varName, arrName: arr.text, body: body}, nil
+		return &forInStmt{v: v, arr: &varRef{name: arr.text}, body: body}, nil
 	}
 	st := &forStmt{}
 	if !p.isOp(";") {

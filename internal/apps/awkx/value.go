@@ -26,14 +26,37 @@ func inputStr(s string) value {
 var uninitialized = value{}
 
 // looksNumeric reports whether s is a valid numeric constant with optional
-// surrounding blanks.
+// surrounding blanks: anything strconv.ParseFloat accepts, including Go's
+// inf/nan spellings, short of overflow. Most fields fail at their first
+// byte without a call into strconv.
 func looksNumeric(s string) bool {
 	t := strings.TrimSpace(s)
 	if t == "" {
 		return false
 	}
-	_, err := strconv.ParseFloat(t, 64)
-	return err == nil
+	if numberLen(t) == len(t) {
+		// The syntax is valid, so only an overflow fails.
+		_, err := strconv.ParseFloat(t, 64)
+		return err == nil
+	}
+	return isInfNaN(t)
+}
+
+// isInfNaN reports whether t is one of strconv.ParseFloat's special
+// spellings: an optionally signed "inf" or "infinity", or an unsigned
+// "nan", in any case.
+func isInfNaN(t string) bool {
+	signed := t[0] == '+' || t[0] == '-'
+	if signed {
+		t = t[1:]
+	}
+	switch len(t) {
+	case 3:
+		return strings.EqualFold(t, "inf") || !signed && strings.EqualFold(t, "nan")
+	case 8:
+		return strings.EqualFold(t, "infinity")
+	}
+	return false
 }
 
 // Num converts following awk semantics: numeric prefix of the string, else 0.
@@ -45,27 +68,106 @@ func (v value) Num() float64 {
 }
 
 // numPrefix parses the longest numeric prefix of s (awk's string→number
-// rule: "3.5kg" is 3.5, "abc" is 0).
+// rule: "3.5kg" is 3.5, "abc" is 0), scanning at most its first 64 bytes
+// after leading blanks. A constant too large for a float64 is ±Inf.
 func numPrefix(s string) float64 {
 	t := strings.TrimLeft(s, " \t\n\r")
-	// Numbers are short; cap the prefix scan.
 	if len(t) > 64 {
 		t = t[:64]
 	}
-	end := 0
-	for i := 1; i <= len(t); i++ {
-		v, err := strconv.ParseFloat(t[:i], 64)
-		// Go accepts "inf"/"nan" spellings; awk's number syntax does not.
-		if err == nil && !math.IsInf(v, 0) && !math.IsNaN(v) {
-			end = i
-		}
-	}
-	if end == 0 {
+	n := numberLen(t)
+	if n == 0 {
 		return 0
 	}
-	f, _ := strconv.ParseFloat(t[:end], 64)
+	f, _ := strconv.ParseFloat(t[:n], 64) // ±Inf on overflow
 	return f
 }
+
+// numberLen returns the length of the longest prefix of s that is a number
+// in strconv.ParseFloat's syntax, leaving out its inf/nan spellings, or 0
+// if there is none. That syntax is an optional sign, then a decimal
+// mantissa with an optional e exponent, or a 0x hexadecimal mantissa with
+// a mandatory p exponent; an underscore may sit between two digits.
+func numberLen(s string) int {
+	i := 0
+	if i < len(s) && (s[i] == '+' || s[i] == '-') {
+		i++
+	}
+	if n := hexNumberLen(s[i:]); n > 0 {
+		return i + n
+	}
+	start, digits, dot := i, false, false
+	for ; i < len(s); i++ {
+		switch c := s[i]; {
+		case isDigit(c):
+			digits = true
+		case c == '_' && i > start && isDigit(s[i-1]) && i+1 < len(s) && isDigit(s[i+1]):
+		case c == '.' && !dot:
+			dot = true
+		default:
+			goto mantissaDone
+		}
+	}
+mantissaDone:
+	if !digits {
+		return 0
+	}
+	if n := exponentLen(s[i:], 'e'); n > 0 {
+		return i + n
+	}
+	return i
+}
+
+// hexNumberLen is numberLen for an unsigned hexadecimal number, which is
+// only complete with its p exponent.
+func hexNumberLen(s string) int {
+	if len(s) < 3 || s[0] != '0' || s[1]|0x20 != 'x' {
+		return 0
+	}
+	i, digits, dot := 2, false, false
+	for ; i < len(s); i++ {
+		switch c := s[i]; {
+		case isHexDigit(c):
+			digits = true
+		case c == '_' && (i == 2 || isHexDigit(s[i-1])) && i+1 < len(s) && isHexDigit(s[i+1]):
+		case c == '.' && !dot:
+			dot = true
+		default:
+			goto mantissaDone
+		}
+	}
+mantissaDone:
+	if !digits {
+		return 0
+	}
+	if n := exponentLen(s[i:], 'p'); n > 0 {
+		return i + n
+	}
+	return 0
+}
+
+// exponentLen returns the length of the exponent that s starts with:
+// the marker (either case), an optional sign and decimal digits.
+func exponentLen(s string, marker byte) int {
+	if len(s) < 2 || s[0]|0x20 != marker {
+		return 0
+	}
+	i := 1
+	if s[i] == '+' || s[i] == '-' {
+		i++
+	}
+	if i == len(s) || !isDigit(s[i]) {
+		return 0
+	}
+	for i++; i < len(s); i++ {
+		if !isDigit(s[i]) && !(s[i] == '_' && isDigit(s[i-1]) && i+1 < len(s) && isDigit(s[i+1])) {
+			break
+		}
+	}
+	return i
+}
+
+func isHexDigit(c byte) bool { return isDigit(c) || 'a' <= c|0x20 && c|0x20 <= 'f' }
 
 // Str renders the value as awk would: integral numbers without decimals,
 // others via CONVFMT (%.6g).
@@ -77,6 +179,12 @@ func (v value) Str() string {
 }
 
 func numToStr(f float64) string {
+	if math.IsInf(f, 0) {
+		if f < 0 {
+			return "-inf"
+		}
+		return "inf"
+	}
 	if f == math.Trunc(f) && math.Abs(f) < 1e16 {
 		return strconv.FormatInt(int64(f), 10)
 	}

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"compstor/internal/textgen"
 )
 
 func corpus() map[string][]byte {
@@ -201,6 +203,28 @@ func BenchmarkCompressText(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	for i := 0; i < b.N; i++ {
 		Compress(data, Options{})
+	}
+}
+
+// BenchmarkCompressBook compresses 32 KiB of textgen prose, the kind of
+// input the workloads give bzip2.
+func BenchmarkCompressBook(b *testing.B) {
+	data := textgen.Book(1, 32<<10)[:32<<10]
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Compress(data, Options{})
+	}
+}
+
+// BenchmarkBWTBlock sorts one full 100 kB block of prose, the unit of
+// bzip2's encode cost.
+func BenchmarkBWTBlock(b *testing.B) {
+	data := textgen.Book(1, 100_000)[:100_000]
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		bwt(data)
 	}
 }
 
