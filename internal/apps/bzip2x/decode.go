@@ -1,11 +1,12 @@
 package bzip2x
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
 	"io"
+
+	"compstor/internal/apps"
 )
 
 // corruptError reports a malformed bzip2 stream.
@@ -29,7 +30,9 @@ func Decompress(src []byte) ([]byte, error) {
 func DecompressReader(r io.Reader) ([]byte, error) {
 	br, ok := r.(io.ByteReader)
 	if !ok {
-		br = bufio.NewReaderSize(r, 64*1024)
+		pooled := apps.GetBufReader(r)
+		defer apps.PutBufReader(pooled)
+		br = pooled
 	}
 	bits := newMSBReader(br)
 	var out bytes.Buffer

@@ -162,7 +162,8 @@ func wcArgs(args []string) (onlyLines, onlyWords, onlyBytes bool, files []string
 // to exactly the whole-file counts — the property the split-scan kernel
 // relies on.
 func countStream(r io.Reader) (l, w, b int64, err error) {
-	br := bufread(r)
+	br := apps.GetBufReader(r)
+	defer apps.PutBufReader(br)
 	inWord := false
 	for {
 		c, rerr := br.ReadByte()
@@ -339,12 +340,16 @@ func newScanner(r io.Reader) *bufio.Scanner {
 	return sc
 }
 
-// bufread wraps r in a 64 KiB buffered reader so byte- and line-oriented
-// consumers always issue large device reads: bufio's default 4 KiB buffer
-// would cost a device read per page, and even the 64 KiB scanner shrinks
-// its read size while a partial token sits in its buffer.
-func bufread(r io.Reader) *bufio.Reader {
-	return bufio.NewReaderSize(r, 64*1024)
+// scanLines calls fn with each line of r. The scanner reads through a
+// pooled 64 KiB buffered reader (apps.GetBufReader): even the 64 KiB
+// scanner shrinks its read size while a partial token sits in its buffer.
+func scanLines(r io.Reader, fn func(line string)) {
+	br := apps.GetBufReader(r)
+	defer apps.PutBufReader(br)
+	sc := newScanner(br)
+	for sc.Scan() {
+		fn(sc.Text())
+	}
 }
 
 // Sort sorts lines (-r reverse, -n numeric, -u unique).
@@ -384,10 +389,7 @@ func (Sort) Run(ctx *apps.Context, args []string) error {
 	defer done()
 	var lines []string
 	for _, r := range rs {
-		sc := newScanner(bufread(r))
-		for sc.Scan() {
-			lines = append(lines, sc.Text())
-		}
+		scanLines(r, func(l string) { lines = append(lines, l) })
 	}
 	less := func(a, b string) bool { return a < b }
 	if numeric {
@@ -468,16 +470,14 @@ func (Uniq) Run(ctx *apps.Context, args []string) error {
 		}
 	}
 	for _, r := range rs {
-		sc := newScanner(bufread(r))
-		for sc.Scan() {
-			l := sc.Text()
+		scanLines(r, func(l string) {
 			if run > 0 && l == prev {
 				run++
-				continue
+				return
 			}
 			flush()
 			prev, run = l, 1
-		}
+		})
 	}
 	flush()
 	return nil
@@ -529,9 +529,8 @@ func (Cut) Run(ctx *apps.Context, args []string) error {
 	}
 	defer done()
 	for _, r := range rs {
-		sc := newScanner(bufread(r))
-		for sc.Scan() {
-			parts := strings.Split(sc.Text(), delim)
+		scanLines(r, func(l string) {
+			parts := strings.Split(l, delim)
 			var out []string
 			for _, f := range wanted {
 				if f-1 < len(parts) {
@@ -539,7 +538,7 @@ func (Cut) Run(ctx *apps.Context, args []string) error {
 				}
 			}
 			fmt.Fprintln(ctx.Stdout, strings.Join(out, delim))
-		}
+		})
 	}
 	return nil
 }
@@ -616,8 +615,10 @@ func (Cksum) Run(ctx *apps.Context, args []string) error {
 
 // crcStream checksums one input through a 64 KiB buffered reader.
 func crcStream(r io.Reader) (uint32, int64, error) {
+	br := apps.GetBufReader(r)
+	defer apps.PutBufReader(br)
 	h := crc32.NewIEEE()
-	n, err := io.Copy(h, bufread(r))
+	n, err := io.Copy(h, br)
 	return h.Sum32(), n, err
 }
 

@@ -61,7 +61,8 @@ func (Tr) Run(ctx *apps.Context, args []string) error {
 			table[c] = int16(set2[j])
 		}
 	}
-	r := bufio.NewReaderSize(ctx.In(), 64*1024)
+	r := apps.GetBufReader(ctx.In())
+	defer apps.PutBufReader(r)
 	w := bufio.NewWriter(ctx.Stdout)
 	defer w.Flush()
 	for {

@@ -1,10 +1,11 @@
 package gzipx
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"io"
+
+	"compstor/internal/apps"
 )
 
 // corruptError reports a malformed DEFLATE stream.
@@ -44,7 +45,9 @@ func init() {
 func Inflate(r io.Reader) ([]byte, error) {
 	br, ok := r.(io.ByteReader)
 	if !ok {
-		br = bufio.NewReaderSize(r, 64*1024)
+		pooled := apps.GetBufReader(r)
+		defer apps.PutBufReader(pooled)
+		br = pooled
 	}
 	d := &inflater{br: newBitReader(br), raw: br}
 	if err := d.run(); err != nil {

@@ -165,7 +165,8 @@ type Device struct {
 	chanBus []*sim.Link     // per-channel data bus
 	dies    []*sim.Resource // per-die occupancy (channels*diesPerChan)
 
-	pages      map[int64][]byte // linear page -> data
+	pages      map[int64][]byte // linear page -> data; owned by the device
+	freeBufs   [][]byte         // erased pages' buffers (≤ one block), reused by programs
 	oob        map[int64]OOB    // linear page -> spare area
 	written    map[int64]bool   // linear page -> programmed since last erase
 	eraseCount map[int64]int64  // linear block -> erase cycles
@@ -350,22 +351,39 @@ func (d *Device) cutDuring(start sim.Time) bool {
 	return !d.powered || (d.lastOff >= 0 && d.lastOff >= start)
 }
 
-// ReadPage reads one page's payload; see ReadPageOOB.
+// ReadPage reads one page's payload into a fresh buffer; see
+// ReadPageOOBInto.
 func (d *Device) ReadPage(p *sim.Proc, a Addr) ([]byte, error) {
 	data, _, err := d.ReadPageOOB(p, a)
 	return data, err
 }
 
-// ReadPageOOB reads one page and its spare area: the die is busy for tR,
-// then the page crosses the channel bus. Returns a copy of the stored data.
-// Reading an unwritten page returns ErrUnwritten (raw NAND would return
-// all-0xFF; surfacing it as an error catches FTL bugs).
+// ReadPageOOB reads one page and its spare area into a fresh buffer; see
+// ReadPageOOBInto.
 func (d *Device) ReadPageOOB(p *sim.Proc, a Addr) ([]byte, OOB, error) {
-	if err := d.check(a); err != nil {
+	dst := make([]byte, d.geo.PageSize)
+	oob, err := d.ReadPageOOBInto(p, a, dst)
+	if err != nil {
 		return nil, OOB{}, err
 	}
+	return dst, oob, nil
+}
+
+// ReadPageOOBInto reads one page into dst (exactly one page) and returns
+// its spare area: the die is busy for tR, then the page crosses the channel
+// bus. Stored pages never leave the device; dst receives a copy, and is
+// left unspecified on error. Reading an unwritten page returns ErrUnwritten
+// (raw NAND would return all-0xFF; surfacing it as an error catches FTL
+// bugs).
+func (d *Device) ReadPageOOBInto(p *sim.Proc, a Addr, dst []byte) (OOB, error) {
+	if err := d.check(a); err != nil {
+		return OOB{}, err
+	}
+	if len(dst) != d.geo.PageSize {
+		return OOB{}, fmt.Errorf("%w: read into %d bytes, page is %d", ErrPageSize, len(dst), d.geo.PageSize)
+	}
 	if !d.powered {
-		return nil, OOB{}, fmt.Errorf("%w: read %v", ErrPowerLoss, a)
+		return OOB{}, fmt.Errorf("%w: read %v", ErrPowerLoss, a)
 	}
 	start := p.Now()
 	if d.obs != nil {
@@ -388,19 +406,18 @@ func (d *Device) ReadPageOOB(p *sim.Proc, a Addr) ([]byte, OOB, error) {
 		return d.chanBus[a.Channel].TransferTime(int64(d.geo.PageSize))
 	})
 	if d.cutDuring(start) {
-		return nil, OOB{}, fmt.Errorf("%w: read %v", ErrPowerLoss, a)
+		return OOB{}, fmt.Errorf("%w: read %v", ErrPowerLoss, a)
 	}
 	d.stats.Reads++
 	if err := d.fault(FaultRead, a); err != nil {
-		return nil, OOB{}, err
+		return OOB{}, err
 	}
 	data, ok := d.pages[idx]
 	if !ok {
-		return nil, OOB{}, fmt.Errorf("%w: %v", ErrUnwritten, a)
+		return OOB{}, fmt.Errorf("%w: %v", ErrUnwritten, a)
 	}
-	out := make([]byte, len(data))
-	copy(out, data)
-	return out, d.oob[idx], nil
+	copy(dst, data)
+	return d.oob[idx], nil
 }
 
 // ReadOOB reads only the spare area of a page — the fast scan primitive
@@ -485,7 +502,7 @@ func (d *Device) ProgramPageOOB(p *sim.Proc, a Addr, data []byte, oob OOB) error
 		return d.eng.Now()
 	})
 	if d.cutDuring(start) {
-		torn := make([]byte, len(data))
+		torn := d.pageBuf()
 		copy(torn, data)
 		for i := len(torn) / 2; i < len(torn); i++ {
 			torn[i] ^= 0xFF // cells that never finished programming
@@ -503,7 +520,7 @@ func (d *Device) ProgramPageOOB(p *sim.Proc, a Addr, data []byte, oob OOB) error
 		d.stats.Programs++
 		return err
 	}
-	stored := make([]byte, len(data))
+	stored := d.pageBuf()
 	copy(stored, data)
 	d.pages[idx] = stored
 	d.oob[idx] = oob
@@ -550,6 +567,12 @@ func (d *Device) EraseBlock(p *sim.Proc, a Addr) error {
 	blk := d.blockIndex(a)
 	base := blk * int64(d.geo.PagesPerBlock)
 	for i := 0; i < d.geo.PagesPerBlock; i++ {
+		// Keep at most one block's worth of buffers: the programs after an
+		// erase reuse them, while a burst of erases (a bulk TRIM turned into
+		// dead blocks) must not pin memory the page store no longer uses.
+		if buf, ok := d.pages[base+int64(i)]; ok && len(d.freeBufs) < d.geo.PagesPerBlock {
+			d.freeBufs = append(d.freeBufs, buf)
+		}
 		delete(d.pages, base+int64(i))
 		delete(d.oob, base+int64(i))
 		delete(d.written, base+int64(i))
@@ -557,6 +580,19 @@ func (d *Device) EraseBlock(p *sim.Proc, a Addr) error {
 	d.eraseCount[blk]++
 	d.stats.Erases++
 	return nil
+}
+
+// pageBuf returns a page-sized buffer for a program to store, recycled from
+// an erased page when one is free. Its old contents are always overwritten
+// in full.
+func (d *Device) pageBuf() []byte {
+	if n := len(d.freeBufs); n > 0 {
+		buf := d.freeBufs[n-1]
+		d.freeBufs[n-1] = nil
+		d.freeBufs = d.freeBufs[:n-1]
+		return buf
+	}
+	return make([]byte, d.geo.PageSize)
 }
 
 // EraseCount returns the wear (erase cycles) of the block containing a.

@@ -269,17 +269,28 @@ func (f *FTL) checkLPN(lpn int64) error {
 	return nil
 }
 
-// ReadPage returns the data of logical page lpn, verified against the
-// page's OOB record: a payload CRC mismatch, or an OOB naming a different
-// logical page, returns ErrCorrupt. Unmapped pages read as zeroes without
-// touching the media, as on a real SSD.
+// ReadPage returns the data of logical page lpn in a fresh buffer; see
+// ReadPageInto.
 func (f *FTL) ReadPage(p *sim.Proc, lpn int64) ([]byte, error) {
-	if err := f.checkLPN(lpn); err != nil {
+	dst := make([]byte, f.geo.PageSize)
+	if err := f.ReadPageInto(p, lpn, dst); err != nil {
 		return nil, err
+	}
+	return dst, nil
+}
+
+// ReadPageInto reads logical page lpn into dst (exactly one page), verified
+// against the page's OOB record: a payload CRC mismatch, or an OOB naming a
+// different logical page, returns ErrCorrupt. Unmapped pages read as zeroes
+// without touching the media, as on a real SSD. dst is unspecified on error.
+func (f *FTL) ReadPageInto(p *sim.Proc, lpn int64, dst []byte) error {
+	if err := f.checkLPN(lpn); err != nil {
+		return err
 	}
 	ppn, ok := f.l2p[lpn]
 	if !ok {
-		return make([]byte, f.geo.PageSize), nil
+		clear(dst)
+		return nil
 	}
 	if f.obs != nil {
 		start := p.Now()
@@ -290,15 +301,15 @@ func (f *FTL) ReadPage(p *sim.Proc, lpn int64) ([]byte, error) {
 		}()
 	}
 	f.stats.HostReads++
-	data, oob, err := f.dev.ReadPageOOB(p, f.geo.AddrOfPage(ppn))
+	oob, err := f.dev.ReadPageOOBInto(p, f.geo.AddrOfPage(ppn), dst)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if oob.LPN != lpn || pageCRC(data) != oob.CRC {
+	if oob.LPN != lpn || pageCRC(dst) != oob.CRC {
 		f.stats.CorruptReads++
-		return nil, fmt.Errorf("%w: lpn %d at %v", ErrCorrupt, lpn, f.geo.AddrOfPage(ppn))
+		return fmt.Errorf("%w: lpn %d at %v", ErrCorrupt, lpn, f.geo.AddrOfPage(ppn))
 	}
-	return data, nil
+	return nil
 }
 
 // WritePage stores data (exactly one page) at logical page lpn, allocating
@@ -607,6 +618,8 @@ func (f *FTL) gcOnce(p *sim.Proc) error {
 // verbatim.
 func (f *FTL) relocateBlock(p *sim.Proc, blk int64) error {
 	base := blk * int64(f.geo.PagesPerBlock)
+	// One buffer carries every record: each program copies it onto media.
+	data := make([]byte, f.geo.PageSize)
 	for i := 0; i < f.geo.PagesPerBlock; i++ {
 		ppn := base + int64(i)
 		if ts, isTrim := f.trimPages[ppn]; isTrim {
@@ -616,7 +629,7 @@ func (f *FTL) relocateBlock(p *sim.Proc, blk int64) error {
 				f.blocks[blk].valid--
 				continue
 			}
-			data, oob, err := f.readForRelocate(p, ppn)
+			oob, err := f.readForRelocate(p, ppn, data)
 			if err != nil {
 				return fmt.Errorf("ftl: gc read trim record: %w", err)
 			}
@@ -635,7 +648,7 @@ func (f *FTL) relocateBlock(p *sim.Proc, blk int64) error {
 		if !ok {
 			continue
 		}
-		data, oob, err := f.readForRelocate(p, ppn)
+		oob, err := f.readForRelocate(p, ppn, data)
 		if err != nil {
 			return fmt.Errorf("ftl: gc read: %w", err)
 		}
@@ -657,22 +670,23 @@ func (f *FTL) relocateBlock(p *sim.Proc, blk int64) error {
 	return nil
 }
 
-// readForRelocate reads a page raw — payload plus OOB, no CRC verification,
-// since relocation must move even a corrupt page verbatim so the corruption
-// stays detectable — absorbing transient read faults with bounded retries.
-func (f *FTL) readForRelocate(p *sim.Proc, ppn int64) ([]byte, flash.OOB, error) {
+// readForRelocate reads a page raw into dst — payload plus OOB, no CRC
+// verification, since relocation must move even a corrupt page verbatim so
+// the corruption stays detectable — absorbing transient read faults with
+// bounded retries.
+func (f *FTL) readForRelocate(p *sim.Proc, ppn int64, dst []byte) (flash.OOB, error) {
 	var lastErr error
 	for try := 0; try < 3; try++ {
-		data, oob, err := f.dev.ReadPageOOB(p, f.geo.AddrOfPage(ppn))
+		oob, err := f.dev.ReadPageOOBInto(p, f.geo.AddrOfPage(ppn), dst)
 		if err == nil {
-			return data, oob, nil
+			return oob, nil
 		}
 		lastErr = err
 		if errors.Is(err, flash.ErrPowerLoss) {
 			break
 		}
 	}
-	return nil, flash.OOB{}, lastErr
+	return flash.OOB{}, lastErr
 }
 
 // retireBlock takes a grown-bad block out of service: it is sealed, marked

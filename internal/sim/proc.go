@@ -1,15 +1,21 @@
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+	"runtime/debug"
+)
 
 // Proc is a simulated process: model code whose execution is interleaved
 // with the engine so that exactly one process (or event callback) runs at a
 // time. Model code inside a process advances virtual time with Wait, blocks
 // on resources with Acquire/Transfer/Recv, and never needs locks.
 //
-// A Proc is backed by a pooled worker goroutine (see worker below). Pure
+// A Proc is backed by a pooled worker coroutine (see worker below). Pure
 // delays on untraced procs complete inline on the engine side without waking
-// the goroutine at all; the worker is only involved when the proc genuinely
+// the coroutine at all; the worker is only involved when the proc genuinely
 // has to give way to another event.
 //
 // A Proc must only call its blocking methods from its own body function.
@@ -24,52 +30,78 @@ type Proc struct {
 	obsCtx    any
 }
 
-// worker is a pooled goroutine + channel pair executing proc bodies. When a
-// body returns, the worker parks on its resume channel and the engine
-// rebinds it to the next Go instead of spawning a fresh goroutine — this is
-// what keeps peak_goroutines near the number of concurrently live procs.
+// worker is a pooled iter.Pull coroutine executing proc bodies. next hands
+// control from the engine to the bound proc until it parks or returns; the
+// proc hands it back through yield. The runtime switches directly between
+// the two goroutines, without a trip through the scheduler. When a body
+// returns, the worker yields and the engine rebinds it to the next Go
+// instead of creating a fresh coroutine — this is what keeps
+// peak_goroutines near the number of concurrently live procs.
 type worker struct {
-	eng    *Engine
-	resume chan struct{}
-	yield  chan struct{}
-	p      *Proc
+	p     *Proc
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 }
 
-// killedProc is the panic payload Shutdown uses to unwind parked procs. It
-// is the only panic the worker recovers; real model panics propagate.
+// killedProc is the panic payload park raises when Shutdown stops a parked
+// proc's coroutine, unwinding the body so its defers run. It is the only
+// panic the worker swallows.
 type killedProc struct{}
 
-func (w *worker) loop() {
-	defer w.eng.wg.Done()
-	for {
-		<-w.resume
-		if w.eng.killing || w.p == nil {
-			// Shutdown woke an idle worker (or one whose proc never started).
-			w.yield <- struct{}{}
-			return
-		}
-		p := w.p
-		killed := w.runBody(p)
-		p.done = true
-		w.yield <- struct{}{}
-		if killed {
-			return
-		}
+// newWorker creates an idle worker and registers it for Shutdown. The
+// coroutine is started right away and parks in its first yield, so its
+// one-time start-up cost is paid here rather than by the first proc bound
+// to it.
+func (e *Engine) newWorker() *worker {
+	w := &worker{}
+	w.next, w.stop = iter.Pull(w.loop)
+	w.next()
+	e.allW = append(e.allW, w)
+	return w
+}
+
+// loop is the coroutine body: between procs it waits in yield, and each
+// resumption runs the proc bound by then until it parks or returns. A false
+// yield means Shutdown stopped the coroutine.
+func (w *worker) loop(yield func(struct{}) bool) {
+	w.yield = yield
+	for yield(struct{}{}) {
+		runBody(w.p)
 	}
 }
 
-func (w *worker) runBody(p *Proc) (killed bool) {
+// runBody runs one proc body to completion. A killedProc unwind ends the
+// body quietly. Any other panic is re-raised as a procPanic: iter.Pull
+// re-panics in the engine's goroutine with the value alone, so the proc's
+// name and stack must travel inside it.
+func runBody(p *Proc) {
 	defer func() {
+		p.done = true
 		if r := recover(); r != nil {
-			if _, ok := r.(killedProc); ok {
-				killed = true
-				return
+			if _, ok := r.(killedProc); !ok {
+				panic(&procPanic{proc: p.name, value: r, stack: debug.Stack()})
 			}
-			panic(r)
 		}
 	}()
 	p.body(p)
-	return false
+}
+
+// procPanic carries a panic out of a proc body to the caller of Run.
+type procPanic struct {
+	proc  string
+	value any
+	stack []byte
+}
+
+func (pp *procPanic) Error() string {
+	return fmt.Sprintf("sim: process %q panicked: %v\n\n%s", pp.proc, pp.value, pp.stack)
+}
+
+// Unwrap exposes an error panic value to errors.Is/As.
+func (pp *procPanic) Unwrap() error {
+	err, _ := pp.value.(error)
+	return err
 }
 
 // Go starts a new simulated process executing body. The process begins at
@@ -92,10 +124,7 @@ func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
 			a.procsReused++
 		}
 	} else {
-		w = &worker{eng: e, resume: make(chan struct{}), yield: make(chan struct{})}
-		e.allW = append(e.allW, w)
-		e.wg.Add(1)
-		go w.loop()
+		w = e.newWorker()
 	}
 	w.p = p
 	p.w = w
@@ -126,8 +155,9 @@ func (p *Proc) ObsCtx() any { return p.obsCtx }
 // parent's context onto the workers so child spans parent correctly.
 func (p *Proc) SetObsCtx(v any) { p.obsCtx = v }
 
-// stepProc hands control to the process's worker goroutine and waits for it
-// to block or finish. It runs on the engine side, inside an event dispatch.
+// stepProc hands control to the process's worker coroutine and returns when
+// the process blocks or finishes. It runs on the engine side, inside an
+// event dispatch.
 func (e *Engine) stepProc(p *Proc) {
 	if p.done {
 		panic(fmt.Sprintf("sim: process %q resumed after completion", p.name))
@@ -136,8 +166,7 @@ func (e *Engine) stepProc(p *Proc) {
 		a.procSwitches++
 	}
 	w := p.w
-	w.resume <- struct{}{}
-	<-w.yield
+	w.next()
 	if p.done {
 		// Body returned: unbind and recycle the worker for the next Go.
 		w.p = nil
@@ -151,11 +180,8 @@ func (e *Engine) stepProc(p *Proc) {
 // Something else must later call p.unpark (or schedule a resume) or the
 // process sleeps forever.
 func (p *Proc) park() {
-	w := p.w
-	w.yield <- struct{}{}
-	<-w.resume
-	if w.eng.killing {
-		panic(killedProc{})
+	if !p.w.yield(struct{}{}) {
+		panic(killedProc{}) // Shutdown stopped the coroutine
 	}
 }
 

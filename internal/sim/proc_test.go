@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"errors"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -134,4 +137,97 @@ func TestManyProcsScale(t *testing.T) {
 	if done != n {
 		t.Fatalf("%d of %d processes completed", done, n)
 	}
+}
+
+var errBoom = errors.New("boom")
+
+//go:noinline
+func explodeInProc() { panic(errBoom) }
+
+// A panic in a proc body surfaces from Run on the engine's goroutine, naming
+// the proc and carrying the body's stack down to the panicking function.
+func TestProcPanicSurfacesWithNameAndStack(t *testing.T) {
+	e := NewEngine()
+	e.Go("exploder", func(p *Proc) {
+		p.Wait(time.Millisecond)
+		explodeInProc()
+	})
+	var r any
+	func() {
+		defer func() { r = recover() }()
+		e.Run()
+	}()
+	err, ok := r.(error)
+	if !ok {
+		t.Fatalf("Run panicked with %T %v, want an error", r, r)
+	}
+	if !errors.Is(err, errBoom) {
+		t.Errorf("panic value does not wrap the body's error: %v", err)
+	}
+	msg := err.Error()
+	for _, want := range []string{`"exploder"`, "boom", "explodeInProc"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("panic message lacks %q:\n%s", want, msg)
+		}
+	}
+	e.Shutdown()
+}
+
+// runtime.Goexit in a body (what t.FailNow does) ends the goroutine that
+// called Run, running its defers, instead of leaving the engine waiting for
+// a proc that will never yield.
+func TestProcGoexitEndsRunGoroutine(t *testing.T) {
+	e := NewEngine()
+	e.Go("quitter", func(p *Proc) {
+		p.Wait(time.Millisecond)
+		runtime.Goexit()
+	})
+	returned := false
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		e.Run()
+		returned = true
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("engine still blocked 10s after runtime.Goexit in a proc body")
+	}
+	if returned {
+		t.Fatal("Run returned normally after runtime.Goexit in a proc body")
+	}
+	e.Shutdown()
+}
+
+// Shutdown unwinds parked procs (running their defers, dropping what they
+// schedule) and stops idle prewarmed workers, leaving no goroutine behind.
+func TestShutdownUnwindsParkedProcs(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEngine()
+	e.Prewarm(4)
+	unwound := 0
+	mb := NewMailbox[int]()
+	for i := 0; i < 3; i++ {
+		e.Go("sleeper", func(p *Proc) {
+			defer func() { unwound++ }()
+			p.Wait(time.Hour)
+		})
+	}
+	e.Go("receiver", func(p *Proc) {
+		defer func() {
+			unwound++
+			p.Wait(time.Second) // a blocking call while unwinding unwinds again
+		}()
+		mb.Recv(p)
+	})
+	e.RunUntil(Time(time.Minute))
+	e.Shutdown()
+	if unwound != 4 {
+		t.Fatalf("%d of 4 parked procs unwound", unwound)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after Shutdown, %d before", n, before)
+	}
+	e.Shutdown() // idempotent
 }

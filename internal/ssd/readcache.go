@@ -244,12 +244,7 @@ func (c *readCache) readPages(p *sim.Proc, lpn, count int64, lat time.Duration) 
 	}
 	err := c.s.forEachPage(p, int64(len(missed)), func(cp *sim.Proc, j int64) error {
 		i := missed[j]
-		data, err := c.s.ftl.ReadPage(cp, lpn+i)
-		if err != nil {
-			return err
-		}
-		copy(out[i*ps:], data)
-		return nil
+		return c.s.ftl.ReadPageInto(cp, lpn+i, out[i*ps:(i+1)*ps])
 	})
 	for _, i := range missed {
 		st := c.fetching[lpn+i]
@@ -336,11 +331,11 @@ func (c *readCache) fill(p *sim.Proc, lpns []int64) {
 	ps := int64(c.s.PageSize())
 	pages := make([][]byte, len(lpns))
 	err := c.s.forEachPage(p, int64(len(lpns)), func(cp *sim.Proc, j int64) error {
-		data, rerr := c.s.ftl.ReadPage(cp, lpns[j])
-		if rerr != nil {
+		page := make([]byte, ps)
+		if rerr := c.s.ftl.ReadPageInto(cp, lpns[j], page); rerr != nil {
 			return rerr
 		}
-		pages[j] = append(make([]byte, 0, ps), data[:ps]...)
+		pages[j] = page
 		return nil
 	})
 	for j, l := range lpns {

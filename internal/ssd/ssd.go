@@ -343,12 +343,7 @@ func (s *SSD) Read(p *sim.Proc, lba, pages int64) ([]byte, error) {
 	ps := int64(s.PageSize())
 	out := make([]byte, pages*ps)
 	err := s.forEachPage(p, pages, func(cp *sim.Proc, i int64) error {
-		data, err := s.ftl.ReadPage(cp, lba+i)
-		if err != nil {
-			return err
-		}
-		copy(out[i*ps:], data)
-		return nil
+		return s.ftl.ReadPageInto(cp, lba+i, out[i*ps:(i+1)*ps])
 	})
 	if err != nil {
 		return nil, err
@@ -506,12 +501,7 @@ func (d *ispsBlockDevice) ReadPages(p *sim.Proc, lpn, count int64) ([]byte, erro
 	if d.direct {
 		p.Wait(d.lat)
 		err := d.s.forEachPage(p, count, func(cp *sim.Proc, i int64) error {
-			data, err := d.s.ftl.ReadPage(cp, lpn+i)
-			if err != nil {
-				return err
-			}
-			copy(out[i*ps:], data)
-			return nil
+			return d.s.ftl.ReadPageInto(cp, lpn+i, out[i*ps:(i+1)*ps])
 		})
 		if err != nil {
 			return nil, err
@@ -523,11 +513,9 @@ func (d *ispsBlockDevice) ReadPages(p *sim.Proc, lpn, count int64) ([]byte, erro
 	for i := int64(0); i < count; i++ {
 		p.Wait(25 * time.Microsecond)
 		d.s.useCtrl(p)
-		data, err := d.s.ftl.ReadPage(p, lpn+i)
-		if err != nil {
+		if err := d.s.ftl.ReadPageInto(p, lpn+i, out[i*ps:(i+1)*ps]); err != nil {
 			return nil, err
 		}
-		copy(out[i*ps:], data)
 	}
 	return out, nil
 }
